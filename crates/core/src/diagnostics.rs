@@ -3,6 +3,7 @@
 
 use gfp_linalg::{eigvalsh, Mat};
 
+use crate::neighbors::all_pairs;
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
 /// Relative rank gap of a lifted solution: the sum of all but the two
@@ -64,7 +65,7 @@ pub fn check_distance_feasibility(
     tolerance: f64,
 ) -> FeasibilityReport {
     assert_eq!(positions.len(), problem.n, "positions length mismatch");
-    let bounds = problem.distance_bounds(&problem.a);
+    let bounds = problem.distance_bounds(&problem.a, &all_pairs(problem.n));
     let mut violations = 0;
     let mut max_rel: f64 = 0.0;
     let mut idx = 0;
@@ -274,7 +275,7 @@ mod tests {
             max_distance: vec![],
             min_distance: vec![],
         };
-        let bound = p.distance_bounds(&p.a)[0];
+        let bound = p.distance_bounds(&p.a, &crate::neighbors::all_pairs(p.n))[0];
         assert!(bound > 0.0);
         let tol = 0.1;
         let just_above = (bound * (1.0 - tol) * (1.0 + 1e-9)).sqrt();

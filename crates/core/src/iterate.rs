@@ -902,7 +902,7 @@ mod distance_control_tests {
         let (i, j) = (1usize, 2usize);
         let strong = 4.0 * (p.radii[i] + p.radii[j]).powi(2);
         p.add_min_distance(i, j, strong);
-        let bounds = p.distance_bounds(&p.a);
+        let bounds = p.distance_bounds(&p.a, &crate::neighbors::all_pairs(p.n));
         let idx = i * p.n - i * (i + 1) / 2 + (j - i - 1);
         assert!((bounds[idx] - strong).abs() < 1e-9);
         let mut s = FloorplannerSettings::fast();

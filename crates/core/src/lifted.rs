@@ -9,12 +9,15 @@
 //! `α·W`) are assembled as one symmetric matrix whose `svec` is the
 //! cost vector.
 
+use std::borrow::Cow;
+
 use gfp_conic::ipm::SdpProblem;
 use gfp_conic::{ConeProgram, ConeProgramBuilder};
 use gfp_linalg::svec::{smat, svec, svec_index, svec_len, SQRT2};
 use gfp_linalg::Mat;
 use gfp_netlist::adjacency::wirelength_b_matrix;
 
+use crate::neighbors::all_pairs;
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
 /// Index helper for the lifted variable `svec(Z)`.
@@ -255,29 +258,11 @@ impl AssemblyWorkspace {
 /// Builds the ADMM cone program for sub-problem 1 (Eq. 18), with the
 /// given effective connectivity and assembled objective.
 ///
-/// Equivalent to [`build_admm_program_sparse`] with a dense (all-pairs)
-/// plan and no workspace.
-///
-/// # Errors
-///
-/// Propagates builder validation failures.
-pub fn build_admm_program(
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-) -> Result<ConeProgram, FloorplanError> {
-    build_admm_program_sparse(problem, a_eff, objective, None, None)
-}
-
-/// [`build_admm_program`] with an optional sparse pair plan and an
-/// optional reusable assembly workspace.
-///
-/// * `pairs: None` emits the dense all-pairs distance rows — bitwise
-///   the program `build_admm_program` has always produced. `Some(plan)`
-///   emits one distance row per planned pair, in plan order, with
-///   bounds from
-///   [`GlobalFloorplanProblem::distance_bounds_for_pairs`]; a plan
-///   covering every pair is bitwise-identical to the dense path.
+/// * `pairs` is the distance-constraint pair plan: one distance row
+///   per planned pair, in plan order, with bounds from
+///   [`GlobalFloorplanProblem::distance_bounds`]. `None` is the dense
+///   plan [`crate::neighbors::all_pairs`]; a plan covering every pair
+///   is bitwise-identical to it.
 /// * `workspace: Some(ws)` assembles into the workspace's retained
 ///   builder (allocation-free once warm); `None` uses a fresh builder.
 ///   The choice never affects the output.
@@ -285,7 +270,7 @@ pub fn build_admm_program(
 /// # Errors
 ///
 /// Propagates builder validation failures.
-pub fn build_admm_program_sparse(
+pub fn build_admm_program(
     problem: &GlobalFloorplanProblem,
     a_eff: &Mat,
     objective: &LiftedObjective,
@@ -302,6 +287,11 @@ pub fn build_admm_program_sparse(
     }
 }
 
+/// The pair plan to assemble: `pairs`, or every pair when `None`.
+fn plan_or_all(n: usize, pairs: Option<&[(usize, usize)]>) -> Cow<'_, [(usize, usize)]> {
+    pairs.map_or_else(|| Cow::Owned(all_pairs(n)), Cow::Borrowed)
+}
+
 fn assemble_admm(
     builder: &mut ConeProgramBuilder,
     lift: &Lift,
@@ -312,12 +302,13 @@ fn assemble_admm(
 ) -> Result<ConeProgram, FloorplanError> {
     let n = problem.n;
 
+    let plan = plan_or_all(n, pairs);
+
     // Pre-size the row buckets (a no-op on the program contents; it
     // only avoids grow-reallocations in the reusable-builder path).
-    let num_dist = pairs.map_or(n * (n - 1) / 2, <[_]>::len);
     builder.reserve_ineq(
-        num_dist + problem.max_distance.len() + 4 * n,
-        3 * (num_dist + problem.max_distance.len()) + 4 * n,
+        plan.len() + problem.max_distance.len() + 4 * n,
+        3 * (plan.len() + problem.max_distance.len()) + 4 * n,
     );
 
     // Objective.
@@ -355,39 +346,17 @@ fn assemble_admm(
         }
     }
 
-    // Pairwise distance constraints (Eq. 11 / 26), dense or restricted
-    // to the sparse pair plan.
-    match pairs {
-        None => {
-            let bounds = problem.distance_bounds(a_eff);
-            let mut bidx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    builder.add_ge(
-                        &[
-                            (lift.g_index(i, i), 1.0),
-                            (lift.g_index(j, j), 1.0),
-                            (lift.g_index(i, j), -SQRT2),
-                        ],
-                        bounds[bidx],
-                    );
-                    bidx += 1;
-                }
-            }
-        }
-        Some(plan) => {
-            let bounds = problem.distance_bounds_for_pairs(a_eff, plan);
-            for (&(i, j), &bound) in plan.iter().zip(&bounds) {
-                builder.add_ge(
-                    &[
-                        (lift.g_index(i, i), 1.0),
-                        (lift.g_index(j, j), 1.0),
-                        (lift.g_index(i, j), -SQRT2),
-                    ],
-                    bound,
-                );
-            }
-        }
+    // Pairwise distance constraints (Eq. 11 / 26) over the pair plan.
+    let bounds = problem.distance_bounds(a_eff, &plan);
+    for (&(i, j), &bound) in plan.iter().zip(&bounds) {
+        builder.add_ge(
+            &[
+                (lift.g_index(i, i), 1.0),
+                (lift.g_index(j, j), 1.0),
+                (lift.g_index(i, j), -SQRT2),
+            ],
+            bound,
+        );
     }
 
     // User maximum-distance constraints (Section IV-D): D_ij ≤ bound.
@@ -421,7 +390,9 @@ fn assemble_admm(
     Ok(builder.build()?)
 }
 
-/// Builds the barrier-IPM problem for sub-problem 1.
+/// Builds the barrier-IPM problem for sub-problem 1, with the same
+/// `pairs` contract as [`build_admm_program`] (`None` is the dense
+/// plan).
 ///
 /// # Errors
 ///
@@ -429,22 +400,6 @@ fn assemble_admm(
 /// has pre-placed modules: fixing `G_ii = ‖x_i‖²` removes the strict
 /// interior the barrier method requires.
 pub fn build_ipm_problem(
-    problem: &GlobalFloorplanProblem,
-    a_eff: &Mat,
-    objective: &LiftedObjective,
-) -> Result<SdpProblem, FloorplanError> {
-    build_ipm_problem_sparse(problem, a_eff, objective, None)
-}
-
-/// [`build_ipm_problem`] with an optional sparse pair plan; the same
-/// `pairs` contract as [`build_admm_program_sparse`] (`None` is bitwise
-/// the dense problem).
-///
-/// # Errors
-///
-/// Returns [`FloorplanError::UnsupportedByBackend`] when the problem
-/// has pre-placed modules.
-pub fn build_ipm_problem_sparse(
     problem: &GlobalFloorplanProblem,
     a_eff: &Mat,
     objective: &LiftedObjective,
@@ -463,37 +418,17 @@ pub fn build_ipm_problem_sparse(
     sdp.eq.push((vec![(lift.idx(0, 0), 1.0)], 1.0));
     sdp.eq.push((vec![(lift.idx(1, 1), 1.0)], 1.0));
     sdp.eq.push((vec![(lift.idx(1, 0), 1.0)], 0.0));
-    match pairs {
-        None => {
-            let bounds = problem.distance_bounds(a_eff);
-            let mut bidx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    sdp.ineq.push((
-                        vec![
-                            (lift.g_index(i, i), 1.0),
-                            (lift.g_index(j, j), 1.0),
-                            (lift.g_index(i, j), -SQRT2),
-                        ],
-                        bounds[bidx],
-                    ));
-                    bidx += 1;
-                }
-            }
-        }
-        Some(plan) => {
-            let bounds = problem.distance_bounds_for_pairs(a_eff, plan);
-            for (&(i, j), &bound) in plan.iter().zip(&bounds) {
-                sdp.ineq.push((
-                    vec![
-                        (lift.g_index(i, i), 1.0),
-                        (lift.g_index(j, j), 1.0),
-                        (lift.g_index(i, j), -SQRT2),
-                    ],
-                    bound,
-                ));
-            }
-        }
+    let plan = plan_or_all(n, pairs);
+    let bounds = problem.distance_bounds(a_eff, &plan);
+    for (&(i, j), &bound) in plan.iter().zip(&bounds) {
+        sdp.ineq.push((
+            vec![
+                (lift.g_index(i, i), 1.0),
+                (lift.g_index(j, j), 1.0),
+                (lift.g_index(i, j), -SQRT2),
+            ],
+            bound,
+        ));
     }
     for &(i, j, bound) in &problem.max_distance {
         sdp.ineq.push((
@@ -626,7 +561,7 @@ mod tests {
     fn admm_program_dimensions() {
         let p = problem();
         let obj = objective_matrix(&p, &p.a, None);
-        let prog = build_admm_program(&p, &p.a, &obj).unwrap();
+        let prog = build_admm_program(&p, &p.a, &obj, None, None).unwrap();
         let lift = Lift::new(p.n);
         assert_eq!(prog.num_vars(), lift.dim);
         // rows: 3 identity eqs + 45 distance ineqs + PSD block rows.
@@ -637,14 +572,14 @@ mod tests {
     fn full_plan_and_workspace_are_bitwise_dense() {
         let p = problem();
         let obj = objective_matrix(&p, &p.a, None);
-        let dense = build_admm_program(&p, &p.a, &obj).unwrap();
+        let dense = build_admm_program(&p, &p.a, &obj, None, None).unwrap();
         let plan = crate::neighbors::all_pairs(p.n);
         let mut ws = AssemblyWorkspace::new();
         // Full plan through a warm workspace, twice: both builds must be
         // bitwise-identical to the classic dense assembly.
         for _ in 0..2 {
             let sparse =
-                build_admm_program_sparse(&p, &p.a, &obj, Some(&plan), Some(&mut ws)).unwrap();
+                build_admm_program(&p, &p.a, &obj, Some(&plan), Some(&mut ws)).unwrap();
             assert_eq!(sparse.c, dense.c);
             assert_eq!(sparse.b, dense.b);
             assert_eq!(sparse.cones, dense.cones);
@@ -666,9 +601,9 @@ mod tests {
             .into_iter()
             .take(12)
             .collect();
-        let prog = build_admm_program_sparse(&p, &p.a, &obj, Some(&plan), None).unwrap();
+        let prog = build_admm_program(&p, &p.a, &obj, Some(&plan), None).unwrap();
         assert_eq!(prog.num_rows(), 3 + 12 + lift.dim);
-        let sdp = build_ipm_problem_sparse(&p, &p.a, &obj, Some(&plan)).unwrap();
+        let sdp = build_ipm_problem(&p, &p.a, &obj, Some(&plan)).unwrap();
         assert_eq!(sdp.ineq.len(), 12);
     }
 
@@ -679,7 +614,7 @@ mod tests {
         let p = GlobalFloorplanProblem::from_netlist(&nl, &ProblemOptions::default()).unwrap();
         let obj = objective_matrix(&p, &p.a, None);
         assert!(matches!(
-            build_ipm_problem(&p, &p.a, &obj),
+            build_ipm_problem(&p, &p.a, &obj, None),
             Err(FloorplanError::UnsupportedByBackend { .. })
         ));
     }
@@ -690,7 +625,7 @@ mod tests {
         let nl = b.netlist.with_fixed_module(2, 10.0, 20.0);
         let p = GlobalFloorplanProblem::from_netlist(&nl, &ProblemOptions::default()).unwrap();
         let obj = objective_matrix(&p, &p.a, None);
-        let prog = build_admm_program(&p, &p.a, &obj).unwrap();
+        let prog = build_admm_program(&p, &p.a, &obj, None, None).unwrap();
         // 3 identity + 2 coordinate + 1 Gram equality rows.
         let lift = Lift::new(p.n);
         assert_eq!(prog.num_rows(), 6 + 45 + lift.dim);
@@ -705,7 +640,7 @@ mod tests {
         };
         let p = GlobalFloorplanProblem::from_netlist(&b.netlist, &opts).unwrap();
         let obj = objective_matrix(&p, &p.a, None);
-        let prog = build_admm_program(&p, &p.a, &obj).unwrap();
+        let prog = build_admm_program(&p, &p.a, &obj, None, None).unwrap();
         let lift = Lift::new(p.n);
         assert_eq!(prog.num_rows(), 3 + 45 + 4 * 10 + lift.dim);
     }

@@ -8,7 +8,7 @@ use gfp_linalg::{eigh, lanczos_extreme, Extreme, LanczosOptions, Mat, PartialEig
 use gfp_telemetry as telemetry;
 
 use crate::lifted::{
-    build_admm_program_sparse, build_ipm_problem_sparse, AssemblyWorkspace, Lift, LiftedObjective,
+    build_admm_program, build_ipm_problem, AssemblyWorkspace, Lift, LiftedObjective,
 };
 use crate::{FloorplanError, GlobalFloorplanProblem};
 
@@ -112,7 +112,7 @@ pub fn solve_subproblem1_sparse(
     match backend {
         Sp1Backend::Admm(settings) => {
             let ta = Instant::now();
-            let program = build_admm_program_sparse(problem, a_eff, objective, pairs, workspace)?;
+            let program = build_admm_program(problem, a_eff, objective, pairs, workspace)?;
             if telemetry::enabled() {
                 ASSEMBLY_WALL.record(ta.elapsed().as_micros() as u64);
             }
@@ -133,7 +133,7 @@ pub fn solve_subproblem1_sparse(
         }
         Sp1Backend::Ipm(settings) => {
             let ta = Instant::now();
-            let sdp = build_ipm_problem_sparse(problem, a_eff, objective, pairs)?;
+            let sdp = build_ipm_problem(problem, a_eff, objective, pairs)?;
             if telemetry::enabled() {
                 ASSEMBLY_WALL.record(ta.elapsed().as_micros() as u64);
             }
@@ -405,7 +405,7 @@ mod tests {
         assert!(res.status.is_usable(), "status {:?}", res.status);
         let lift = Lift::new(p.n);
         let d = lift.distance_squares(&res.z);
-        let bounds = p.distance_bounds(&p.a);
+        let bounds = p.distance_bounds(&p.a, &crate::neighbors::all_pairs(p.n));
         let scale = p.total_area();
         let mut worst: f64 = 0.0;
         for (dk, bk) in d.iter().zip(bounds.iter()) {

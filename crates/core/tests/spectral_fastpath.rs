@@ -19,23 +19,21 @@ use gfp_rand::Rng;
 
 static FASTPATH_LOCK: Mutex<()> = Mutex::new(());
 
+/// Serializes the tests: the fast-path flag they toggle and the
+/// telemetry counters they compare are process-global.
+fn serial() -> MutexGuard<'static, ()> {
+    FASTPATH_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Holds the global fast-path flag at `on` for the guard's lifetime,
-/// restoring the previous value (and releasing the lock) on drop.
+/// restoring the previous value on drop. Callers hold [`serial`].
 struct PathGuard {
-    _lock: MutexGuard<'static, ()>,
     prev: bool,
 }
 
 impl PathGuard {
-    fn lock() -> MutexGuard<'static, ()> {
-        FASTPATH_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     fn force(on: bool) -> Self {
-        PathGuard {
-            _lock: Self::lock(),
-            prev: fastpath::set_enabled(on),
-        }
+        PathGuard { prev: fastpath::set_enabled(on) }
     }
 }
 
@@ -56,7 +54,7 @@ fn counter(name: &str) -> u64 {
 }
 
 /// Solves sub-problem 2 with the fast path forced on, then off, under
-/// one lock hold. Returns `((w_fast, gap_fast), (w_full, gap_full))`.
+/// one guard. Returns `((w_fast, gap_fast), (w_full, gap_full))`.
 fn both_paths(zm: &Mat, n: usize) -> ((Mat, f64), (Mat, f64)) {
     let _guard = PathGuard::force(true);
     let fast = solve_subproblem2(zm, n).expect("fast-path solve");
@@ -92,6 +90,7 @@ fn assert_bitwise(fast: &(Mat, f64), full: &(Mat, f64), what: &str) {
 
 #[test]
 fn partial_matches_dense_on_generic_lifted_z() {
+    let _serial = serial();
     let n = 30; // nn = 32: the smallest size that takes the fast path
     let lift = Lift::new(n);
     let mut rng = Rng::seed_from_u64(0x5eed_5050);
@@ -111,6 +110,7 @@ fn partial_matches_dense_on_generic_lifted_z() {
 
 #[test]
 fn partial_matches_dense_on_rank_deficient_z() {
+    let _serial = serial();
     // Slack 0: Z is an exact rank-2 lift, the rank gap vanishes and
     // the deflation identity gap = trace − λ₁ − λ₂ is exact.
     let n = 30;
@@ -132,6 +132,7 @@ fn partial_matches_dense_on_rank_deficient_z() {
 
 #[test]
 fn flat_spectrum_falls_back_to_dense_bitwise() {
+    let _serial = serial();
     // Every eigenvalue equal: no top-2 separation exists, the deflated
     // power estimate sits at λ₂ and the guard must route the call to
     // the dense path — whose result is then bitwise identical to a
@@ -156,6 +157,7 @@ fn flat_spectrum_falls_back_to_dense_bitwise() {
 
 #[test]
 fn exact_top_multiplicity_matches_dense() {
+    let _serial = serial();
     // λ₁ = λ₂ exactly (a clustered top pair over a 0.1·I floor): the
     // top-2 projector is still unique, so whichever route the guard
     // picks must agree with the dense one.
@@ -195,6 +197,7 @@ fn exact_top_multiplicity_matches_dense() {
 
 #[test]
 fn below_threshold_sizes_never_take_the_fast_path() {
+    let _serial = serial();
     // nn = 12 < 32: fast-path on and off must be bitwise identical
     // (this is what keeps the n10 golden trace stable).
     let n = 10;
@@ -217,6 +220,7 @@ fn below_threshold_sizes_never_take_the_fast_path() {
 #[test]
 #[ignore = "slow tier: two full n30 solves (fast path on and off)"]
 fn n30_solve_wirelength_matches_with_fastpath_off() {
+    let _serial = serial();
     let b = suite::gsrc_n30();
     let p = GlobalFloorplanProblem::from_netlist(&b.netlist, &ProblemOptions::default()).unwrap();
     let mut s = FloorplannerSettings::fast();

@@ -58,7 +58,7 @@ use crate::cache::ResultCache;
 use crate::job::{self, JobMeta};
 use crate::protocol::{
     read_frame_bytes, write_frame, DaemonStats, FrameReadError, JobPhase, JobResult, JobSource,
-    JobStatus, Request, Response, SubmitRequest, HEADER_LEN,
+    JobStatus, Request, Response, SubmitRequest, WireError, HEADER_LEN,
 };
 use crate::queue::{JobQueue, Pushed};
 
@@ -199,12 +199,7 @@ impl Daemon {
     /// accept loop. Idempotent.
     pub fn stop(&mut self) {
         self.shared.initiate_stop();
-        for h in self.worker_handles.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        self.wait();
     }
 
     /// Blocks until the daemon stops (a client sent `Shutdown`, or
@@ -313,13 +308,8 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
     loop {
         let mut bytes = match read_frame_bytes(&mut stream) {
             Ok(b) => b,
-            Err(FrameReadError::Eof) => return,
-            Err(FrameReadError::Io(_)) => return,
-            Err(FrameReadError::Wire(e)) => {
-                let resp = Response::Error { code: "bad_frame".into(), detail: e.to_string() };
-                let _ = write_frame(&mut stream, &resp.encode());
-                return;
-            }
+            Err(FrameReadError::Wire(e)) => return reply_bad_frame(&mut stream, &e),
+            Err(FrameReadError::Eof | FrameReadError::Io(_)) => return,
         };
 
         // Injected frame-read faults: corrupt the (already framed)
@@ -345,11 +335,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
 
         let req = match Request::decode(&bytes) {
             Ok(r) => r,
-            Err(e) => {
-                let resp = Response::Error { code: "bad_frame".into(), detail: e.to_string() };
-                let _ = write_frame(&mut stream, &resp.encode());
-                return;
-            }
+            Err(e) => return reply_bad_frame(&mut stream, &e),
         };
 
         let resp = dispatch(&shared, req);
@@ -378,6 +364,13 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
             return;
         }
     }
+}
+
+/// Answers a frame that failed to read or decode with a typed
+/// `bad_frame` error; the caller then closes the connection.
+fn reply_bad_frame(stream: &mut TcpStream, e: &WireError) {
+    let resp = Response::Error { code: "bad_frame".into(), detail: e.to_string() };
+    let _ = write_frame(stream, &resp.encode());
 }
 
 fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
@@ -793,29 +786,26 @@ fn finish_job(
     // The job is finished: its checkpoint ring is dead weight.
     let _ = SnapshotStore::purge_dir(ckpt);
 
-    {
-        let mut jobs = shared.jobs.lock().expect("jobs lock");
-        if let Some(state) = jobs.get_mut(&id) {
-            state.meta = meta;
-            state.result = Some(result);
-        }
+    let mut jobs = shared.jobs.lock().expect("jobs lock");
+    if let Some(state) = jobs.get_mut(&id) {
+        state.meta = meta;
+        state.result = Some(result);
     }
-
-    gc_done_dirs(shared);
+    // Under the same lock hold, so no client sees this job done while
+    // more than `keep_done` done directories are still on disk.
+    gc_done_dirs(shared, &jobs);
 }
 
 /// Keeps at most `keep_done` done-job directories on disk, removing
 /// the oldest (results stay served from memory; only the durable
 /// copies go).
-fn gc_done_dirs(shared: &Arc<Shared>) {
+fn gc_done_dirs(shared: &Shared, jobs: &HashMap<u64, JobState>) {
     let keep = shared.cfg.keep_done.max(1);
-    let mut done: Vec<u64> = {
-        let jobs = shared.jobs.lock().expect("jobs lock");
-        jobs.values()
-            .filter(|s| s.meta.phase == JobPhase::Done)
-            .map(|s| s.meta.id)
-            .collect()
-    };
+    let mut done: Vec<u64> = jobs
+        .values()
+        .filter(|s| s.meta.phase == JobPhase::Done)
+        .map(|s| s.meta.id)
+        .collect();
     if done.len() <= keep {
         return;
     }

@@ -10,26 +10,32 @@
 //!     result.gfpr   final JobResult record, once done
 //! ```
 //!
-//! Meta and result files reuse the `gfp-store` record envelope
-//! (magic + version + length + CRC) and the same write discipline as
-//! snapshots: temp file → `sync_all` → atomic rename. After a
-//! `SIGKILL` at any instant each file is either the old complete
-//! record, the new complete record, or a stray `.tmp` that the
-//! startup scan ignores — the invariant the crash-resume test leans
-//! on.
+//! Meta and result files are `gfp-store` records (magic + version +
+//! kind + length + CRC) whose payloads are written with the store's
+//! codec, and they go to disk through the store's one durable write,
+//! `gfp_store::write_atomic` (temp file → `sync_all` → atomic rename).
+//! After a `SIGKILL` at any instant each file is either the old
+//! complete record, the new complete record, or a stray `.tmp` that
+//! the startup scan ignores — the invariant the crash-resume test
+//! leans on. A record of another format version fails to load, so
+//! the startup scan sweeps job directories written by an older build,
+//! as it sweeps corrupt ones.
 
-use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use gfp_store::{decode_record, encode_record};
+use gfp_store::{decode_record, encode_record, write_atomic, Decoder, Encoder};
 
-use crate::protocol::{JobPhase, JobResult, JobSource, SubmitRequest, WireError};
+use crate::protocol::{
+    decode_body, decode_phase, decode_result, decode_submit, encode_result, encode_submit, Field,
+    JobPhase, JobResult, SubmitRequest, WireError,
+};
 
 /// Format version of the `job.gfpj` meta record.
-pub const META_VERSION: u16 = 1;
+pub const META_VERSION: u16 = 2;
 /// Format version of the `result.gfpr` record.
-pub const RESULT_VERSION: u16 = 1;
+pub const RESULT_VERSION: u16 = 2;
 
 /// Meta file name inside a job directory.
 pub const META_FILE: &str = "job.gfpj";
@@ -41,26 +47,19 @@ pub const CKPT_DIR: &str = "ckpt";
 pub const REPORT_FILE: &str = "report.json";
 
 /// FNV-1a 64-bit — the job content hash. Covers the source kind, the
-/// source bytes and the solve budgets (`max_iter`, `max_rounds`) but
-/// **not** the deadline: a certified cached result satisfies any
-/// deadline, so two submissions differing only in `deadline_ms` share
-/// a cache slot.
+/// source text and the solve budgets (`max_iter`, `max_rounds`), as
+/// codec bytes, but **not** the deadline: a certified cached result
+/// satisfies any deadline, so two submissions differing only in
+/// `deadline_ms` share a cache slot.
 pub fn content_hash(req: &SubmitRequest) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&[match req.source {
-        JobSource::Suite(_) => 0u8,
-        JobSource::Yal(_) => 1u8,
-    }]);
-    eat(req.source.content().as_bytes());
-    eat(&req.max_iter.to_le_bytes());
-    eat(&req.max_rounds.to_le_bytes());
-    h
+    let mut e = Encoder::new();
+    e.put_u8(req.source.code());
+    e.put_str(req.source.content());
+    e.put_u32(req.max_iter);
+    e.put_u32(req.max_rounds);
+    e.into_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// The durable job record. This is what survives a `SIGKILL`: enough
@@ -88,122 +87,74 @@ impl JobMeta {
     }
 
     fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        p.extend_from_slice(&self.id.to_le_bytes());
-        p.extend_from_slice(&self.hash.to_le_bytes());
-        p.push(self.phase as u8);
-        p.extend_from_slice(&self.attempts.to_le_bytes());
-        p.push(match self.request.source {
-            JobSource::Suite(_) => 0,
-            JobSource::Yal(_) => 1,
-        });
-        let content = self.request.source.content().as_bytes();
-        p.extend_from_slice(&(content.len() as u32).to_le_bytes());
-        p.extend_from_slice(content);
-        p.extend_from_slice(&self.request.deadline_ms.to_le_bytes());
-        p.extend_from_slice(&self.request.max_iter.to_le_bytes());
-        p.extend_from_slice(&self.request.max_rounds.to_le_bytes());
-        p
+        let mut e = Encoder::new();
+        e.put_u64(self.id);
+        e.put_u64(self.hash);
+        e.put_u8(self.phase as u8);
+        e.put_u32(self.attempts);
+        encode_submit(&mut e, &self.request);
+        e.into_bytes()
     }
 
-    fn decode_payload(p: &[u8]) -> Result<JobMeta, WireError> {
-        let need = |have: &[u8], n: usize, at: usize, reason: &'static str| {
-            if have.len() < n {
-                Err(WireError::Payload { offset: at, reason })
-            } else {
-                Ok(())
-            }
-        };
-        need(p, 21, 0, "meta fixed prefix")?;
-        let id = u64::from_le_bytes(p[0..8].try_into().unwrap());
-        let hash = u64::from_le_bytes(p[8..16].try_into().unwrap());
-        let phase = JobPhase::from_u8(p[16])
-            .ok_or(WireError::Payload { offset: 16, reason: "job phase 0..=3" })?;
-        let attempts = u32::from_le_bytes(p[17..21].try_into().unwrap());
-        need(p, 26, 21, "source kind and length")?;
-        let kind = p[21];
-        let len = u32::from_le_bytes(p[22..26].try_into().unwrap()) as usize;
-        need(p, 26 + len + 16, 26, "source content and budgets")?;
-        let content = std::str::from_utf8(&p[26..26 + len])
-            .map_err(|_| WireError::Payload { offset: 26, reason: "valid UTF-8 source" })?
-            .to_string();
-        let source = match kind {
-            0 => JobSource::Suite(content),
-            1 => JobSource::Yal(content),
-            _ => return Err(WireError::Payload { offset: 21, reason: "source kind 0 or 1" }),
-        };
-        let mut at = 26 + len;
-        let deadline_ms = u64::from_le_bytes(p[at..at + 8].try_into().unwrap());
-        at += 8;
-        let max_iter = u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
-        at += 4;
-        let max_rounds = u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+    fn decode_payload(d: &mut Decoder<'_>) -> Result<JobMeta, WireError> {
         Ok(JobMeta {
-            id,
-            hash,
-            phase,
-            attempts,
-            request: SubmitRequest { source, deadline_ms, max_iter, max_rounds },
+            id: d.u64().field("job id")?,
+            hash: d.u64().field("content hash")?,
+            phase: decode_phase(d)?,
+            attempts: d.u32().field("attempts")?,
+            request: decode_submit(d)?,
         })
     }
 
     /// Atomically persists the meta record into `dir/job.gfpj`.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        let record = encode_record(META_VERSION, &self.encode_payload());
-        write_atomic(&dir.join(META_FILE), &record)
+        write_atomic(&dir.join(META_FILE), &encode_record(META_VERSION, &self.encode_payload()))
     }
 
     /// Loads a meta record from `dir/job.gfpj`. `Ok(None)` when the
     /// file does not exist; corrupt records are an error (the startup
     /// scan skips such directories rather than guessing).
     pub fn load(dir: &Path) -> io::Result<Option<JobMeta>> {
-        let bytes = match fs::read(dir.join(META_FILE)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let (version, payload) =
-            decode_record(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if version != META_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("job meta version {version} (expected {META_VERSION})"),
-            ));
-        }
-        JobMeta::decode_payload(payload)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        load_record(&dir.join(META_FILE), META_VERSION, JobMeta::decode_payload)
     }
 }
 
 /// Atomically persists a finished job's result into
 /// `dir/result.gfpr`.
 pub fn save_result(dir: &Path, result: &JobResult) -> io::Result<()> {
-    let mut payload = Vec::new();
-    crate::protocol::encode_result_payload(result, &mut payload);
-    let record = encode_record(RESULT_VERSION, &payload);
-    write_atomic(&dir.join(RESULT_FILE), &record)
+    let mut e = Encoder::new();
+    encode_result(&mut e, result);
+    write_atomic(&dir.join(RESULT_FILE), &encode_record(RESULT_VERSION, &e.into_bytes()))
 }
 
 /// Loads a result record from `dir/result.gfpr`. `Ok(None)` when the
 /// file does not exist.
 pub fn load_result(dir: &Path) -> io::Result<Option<JobResult>> {
-    let bytes = match fs::read(dir.join(RESULT_FILE)) {
+    load_record(&dir.join(RESULT_FILE), RESULT_VERSION, decode_result)
+}
+
+/// Reads the record at `path` and decodes its whole payload with
+/// `decode`. `Ok(None)` when the file does not exist; a bad envelope,
+/// another format version or a malformed payload is `InvalidData`.
+fn load_record<T>(
+    path: &Path,
+    version: u16,
+    decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, WireError>,
+) -> io::Result<Option<T>> {
+    let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let (version, payload) =
-        decode_record(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    if version != RESULT_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("result version {version} (expected {RESULT_VERSION})"),
-        ));
+    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+    let (found, payload) = decode_record(&bytes).map_err(|e| invalid(e.to_string()))?;
+    if found != version {
+        return Err(invalid(format!(
+            "{}: format version {found} (expected {version})",
+            path.display()
+        )));
     }
-    crate::protocol::decode_result_bytes(payload)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    decode_body(payload, decode).map(Some).map_err(|e| invalid(e.to_string()))
 }
 
 /// The job directory for `id` under `root`.
@@ -216,27 +167,10 @@ pub fn ckpt_dir(dir: &Path) -> PathBuf {
     dir.join(CKPT_DIR)
 }
 
-/// Temp-file → `sync_all` → rename, the same durability protocol as
-/// `gfp-store` snapshots.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if let Ok(d) = fs::File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::JobSource;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -275,6 +209,12 @@ mod tests {
         let dir = temp_dir("meta-bad");
         assert_eq!(JobMeta::load(&dir).unwrap(), None);
         fs::write(dir.join(META_FILE), b"definitely not a record").unwrap();
+        assert!(JobMeta::load(&dir).is_err());
+        // A well-formed envelope (valid CRC) around a meta payload with
+        // one trailing byte is still rejected.
+        let mut payload = JobMeta::new(7, sample_request()).encode_payload();
+        payload.push(0);
+        fs::write(dir.join(META_FILE), encode_record(META_VERSION, &payload)).unwrap();
         assert!(JobMeta::load(&dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,13 +5,16 @@
 //!
 //! * [`protocol`] — the `GFPW` length-prefixed TCP wire format
 //!   (submit / status / fetch / cancel / stats / shutdown), with a
-//!   panic-free decoder whose typed errors carry byte offsets.
+//!   panic-free decoder whose typed errors carry byte offsets. Frames
+//!   are `gfp-store` record envelopes (magic `GFPW`, the message tag
+//!   as kind) with `gfp_store::{Encoder, Decoder}` bodies.
 //! * [`queue`] — a bounded job queue with admission control: when the
 //!   queue is full the daemon answers `Rejected { retry_after_ms }`
 //!   instead of accepting unbounded work or silently dropping it.
 //! * [`job`] — durable per-job state under `<root>/jobs/<id>/`:
-//!   an atomically-written meta record, the supervisor's checkpoint
-//!   ring, the solve report, and the final result record.
+//!   a meta record, the supervisor's checkpoint ring, the solve
+//!   report, and the final result record; the records are `gfp-store`
+//!   records written with `gfp_store::write_atomic`.
 //! * [`cache`] — a result cache keyed by a content hash of the
 //!   netlist source and solve budgets; resubmitting identical work
 //!   is answered from the cache without burning a worker.
@@ -20,7 +23,7 @@
 //!   serving), startup crash-resume scan, and checkpoint garbage
 //!   collection.
 //! * [`client`] — a small blocking client used by the `gfpd` binary,
-//!   the tests, and the bench harness.
+//!   the tests, and the benchmark (floorbench's `served_n10`).
 //!
 //! # Failure policy
 //!

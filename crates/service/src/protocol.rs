@@ -1,22 +1,26 @@
 //! The `gfpw` length-prefixed wire protocol.
 //!
-//! Every message travels as one self-delimiting **frame**:
+//! Every message travels as one self-delimiting **frame**: the
+//! `gfp-store` record envelope (see `gfp_store::Header`) with magic
+//! `b"GFPW"`, format version [`VERSION`] and the message type tag in
+//! the `kind` field:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"GFPW"
-//! 4       2     protocol version (1)
-//! 6       2     message type tag
+//! 4       2     protocol version
+//! 6       2     message type tag (the envelope's kind)
 //! 8       8     payload length in bytes (little-endian)
 //! 16      4     CRC-32 (IEEE) of the payload
 //! 20      n     payload
 //! ```
 //!
-//! The envelope deliberately mirrors the `gfp-store` snapshot record:
-//! fixed header, explicit length, CRC over the payload. A reader can
-//! always decide "frame or garbage" from the first 20 bytes, and a
-//! torn TCP stream is detected as a typed error rather than a hang or
-//! a misparse.
+//! A reader can always decide "frame or garbage" from the first 20
+//! bytes, and a torn TCP stream is detected as a typed error rather
+//! than a hang or a misparse. Message bodies are written and read
+//! with `gfp_store`'s [`Encoder`]/[`Decoder`]; this module owns only
+//! the tags, the payload cap, the bodies and the mapping into
+//! [`WireError`].
 //!
 //! # Decoder contract
 //!
@@ -33,46 +37,20 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use gfp_store::{encode_envelope, DecodeError, Decoder, Encoder, Header, RecordError};
+
+pub use gfp_store::HEADER_LEN;
+
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"GFPW";
 
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
-
-/// Fixed frame header size preceding the payload.
-pub const HEADER_LEN: usize = 20;
+pub const VERSION: u16 = 2;
 
 /// Hard cap on payload size (16 MiB): larger length fields are
 /// rejected before allocating. Netlists of every suite size fit with
 /// orders of magnitude to spare.
 pub const MAX_PAYLOAD: u64 = 16 * 1024 * 1024;
-
-/// CRC-32 (IEEE) — same polynomial and table construction as
-/// `gfp-store`, duplicated here so the wire crate stays independent
-/// of storage internals.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    }
-    const TABLE: [u32; 256] = table();
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// Typed decode failure with the byte offset where it was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,6 +135,34 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<RecordError> for WireError {
+    fn from(e: RecordError) -> Self {
+        match e {
+            RecordError::TooShort { len } => WireError::TooShort { have: len },
+            RecordError::BadMagic { offset } => WireError::BadMagic { offset },
+            RecordError::BadKind { kind } => WireError::UnknownType { found: kind },
+            RecordError::LengthMismatch { expected, actual } => {
+                WireError::Truncated { expected, actual }
+            }
+            RecordError::CrcMismatch { expected, actual } => {
+                WireError::CrcMismatch { expected, actual }
+            }
+        }
+    }
+}
+
+/// Names the field a codec read was after, turning its failure into a
+/// [`WireError::Payload`] at the same offset.
+pub(crate) trait Field<T> {
+    fn field(self, what: &'static str) -> Result<T, WireError>;
+}
+
+impl<T> Field<T> for Result<T, DecodeError> {
+    fn field(self, what: &'static str) -> Result<T, WireError> {
+        self.map_err(|e| WireError::Payload { offset: e.offset, reason: what })
+    }
+}
+
 /// Message type tags. Requests are < 128, responses ≥ 128.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
@@ -227,6 +233,14 @@ impl JobSource {
     pub fn content(&self) -> &str {
         match self {
             JobSource::Suite(s) | JobSource::Yal(s) => s,
+        }
+    }
+
+    /// The source kind byte of the wire and record bodies.
+    pub(crate) fn code(&self) -> u8 {
+        match self {
+            JobSource::Suite(_) => 0,
+            JobSource::Yal(_) => 1,
         }
     }
 }
@@ -325,7 +339,7 @@ pub struct JobResult {
     pub positions_bits: Vec<(u64, u64)>,
 }
 
-/// Daemon-wide load/health numbers (for admission tuning and bench).
+/// Daemon-wide load/health numbers (for admission tuning).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Jobs waiting in the queue.
@@ -415,349 +429,239 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Payload cursor: every read is bounds-checked and errors carry the
-// offset where decoding failed.
+// Frames
 // ---------------------------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Encodes one frame: the body written by `body`, in the envelope.
+fn frame(tag: Tag, body: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    body(&mut e);
+    encode_envelope(MAGIC, VERSION, tag as u16, &e.into_bytes())
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+/// Parses a frame header and vets what must hold before the payload
+/// is trusted or allocated: magic, version, and the payload cap.
+fn parse_header(bytes: &[u8]) -> Result<Header, WireError> {
+    let header = Header::parse(MAGIC, bytes)?;
+    if header.version != VERSION {
+        return Err(WireError::BadVersion { found: header.version });
     }
-
-    fn err(&self, reason: &'static str) -> WireError {
-        WireError::Payload { offset: self.pos, reason }
+    if header.len > MAX_PAYLOAD {
+        return Err(WireError::Oversize { len: header.len });
     }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(self.err(what));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, WireError> {
-        let start = self.pos;
-        let len = self.u32(what)? as usize;
-        // Cap string lengths to the remaining payload: a hostile
-        // length cannot trigger a huge allocation.
-        if self.buf.len() - self.pos < len {
-            self.pos = start;
-            return Err(self.err(what));
-        }
-        let bytes = self.take(len, what)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) => {
-                self.pos = start;
-                Err(self.err("valid UTF-8 string"))
-            }
-        }
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::Payload {
-                offset: self.pos,
-                reason: "end of payload (trailing bytes)",
-            });
-        }
-        Ok(())
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Frame envelope
-// ---------------------------------------------------------------------------
-
-fn encode_frame(tag: Tag, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(tag as u16).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    Ok(header)
 }
 
 /// Validates a complete frame and returns `(type_tag, payload)`.
 /// Never panics on arbitrary bytes; see [`WireError`] for what each
 /// failure means.
-fn decode_frame(bytes: &[u8]) -> Result<(Tag, &[u8]), WireError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(WireError::TooShort { have: bytes.len() });
-    }
-    for (offset, (&got, &want)) in bytes.iter().zip(MAGIC.iter()).enumerate() {
-        if got != want {
-            return Err(WireError::BadMagic { offset });
-        }
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != VERSION {
-        return Err(WireError::BadVersion { found: version });
-    }
-    let tag_raw = u16::from_le_bytes([bytes[6], bytes[7]]);
-    let tag = Tag::from_u16(tag_raw).ok_or(WireError::UnknownType { found: tag_raw })?;
-    let len = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversize { len });
-    }
+fn open_frame(bytes: &[u8]) -> Result<(Tag, &[u8]), WireError> {
+    let header = parse_header(bytes)?;
+    let tag = Tag::from_u16(header.kind).ok_or(WireError::UnknownType { found: header.kind })?;
     let payload = &bytes[HEADER_LEN..];
-    if len != payload.len() as u64 {
-        return Err(WireError::Truncated { expected: len, actual: payload.len() as u64 });
-    }
-    let expected = u32::from_le_bytes([bytes[16], bytes[17], bytes[18], bytes[19]]);
-    let actual = crc32(payload);
-    if expected != actual {
-        return Err(WireError::CrcMismatch { expected, actual });
-    }
+    header.check_payload(payload)?;
     Ok((tag, payload))
 }
 
+/// Decodes a whole body with `f`, rejecting trailing bytes.
+pub(crate) fn decode_body<T>(
+    payload: &[u8],
+    f: impl FnOnce(&mut Decoder<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut d = Decoder::new(payload);
+    let value = f(&mut d)?;
+    d.finish().field("end of payload (trailing bytes)")?;
+    Ok(value)
+}
+
 // ---------------------------------------------------------------------------
-// Message codecs
+// Message bodies
 // ---------------------------------------------------------------------------
 
 impl Request {
     /// Encodes the request as one complete frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        let tag = match self {
-            Request::Ping => Tag::Ping,
-            Request::Submit(s) => {
-                let kind: u8 = match &s.source {
-                    JobSource::Suite(_) => 0,
-                    JobSource::Yal(_) => 1,
-                };
-                p.push(kind);
-                put_str(&mut p, s.source.content());
-                p.extend_from_slice(&s.deadline_ms.to_le_bytes());
-                p.extend_from_slice(&s.max_iter.to_le_bytes());
-                p.extend_from_slice(&s.max_rounds.to_le_bytes());
-                Tag::Submit
-            }
-            Request::Status { job } => {
-                p.extend_from_slice(&job.to_le_bytes());
-                Tag::Status
-            }
-            Request::Fetch { job } => {
-                p.extend_from_slice(&job.to_le_bytes());
-                Tag::Fetch
-            }
-            Request::Cancel { job } => {
-                p.extend_from_slice(&job.to_le_bytes());
-                Tag::Cancel
-            }
-            Request::Stats => Tag::Stats,
-            Request::Shutdown => Tag::Shutdown,
-        };
-        encode_frame(tag, &p)
+        match self {
+            Request::Ping => frame(Tag::Ping, |_| {}),
+            Request::Submit(s) => frame(Tag::Submit, |e| encode_submit(e, s)),
+            Request::Status { job } => frame(Tag::Status, |e| e.put_u64(*job)),
+            Request::Fetch { job } => frame(Tag::Fetch, |e| e.put_u64(*job)),
+            Request::Cancel { job } => frame(Tag::Cancel, |e| e.put_u64(*job)),
+            Request::Stats => frame(Tag::Stats, |_| {}),
+            Request::Shutdown => frame(Tag::Shutdown, |_| {}),
+        }
     }
 
     /// Decodes a complete request frame.
     pub fn decode(bytes: &[u8]) -> Result<Request, WireError> {
-        let (tag, payload) = decode_frame(bytes)?;
-        let mut c = Cursor::new(payload);
-        let req = match tag {
-            Tag::Ping => Request::Ping,
-            Tag::Submit => {
-                let kind = c.u8("source kind byte")?;
-                let content = c.str("source content string")?;
-                let source = match kind {
-                    0 => JobSource::Suite(content),
-                    1 => JobSource::Yal(content),
-                    _ => {
-                        return Err(WireError::Payload {
-                            offset: 0,
-                            reason: "source kind 0 (suite) or 1 (yal)",
-                        })
-                    }
-                };
-                Request::Submit(SubmitRequest {
-                    source,
-                    deadline_ms: c.u64("deadline_ms")?,
-                    max_iter: c.u32("max_iter")?,
-                    max_rounds: c.u32("max_rounds")?,
-                })
-            }
-            Tag::Status => Request::Status { job: c.u64("job id")? },
-            Tag::Fetch => Request::Fetch { job: c.u64("job id")? },
-            Tag::Cancel => Request::Cancel { job: c.u64("job id")? },
-            Tag::Stats => Request::Stats,
-            Tag::Shutdown => Request::Shutdown,
-            _ => return Err(WireError::UnknownType { found: tag as u16 }),
-        };
-        c.finish()?;
-        Ok(req)
+        let (tag, payload) = open_frame(bytes)?;
+        decode_body(payload, |d| {
+            Ok(match tag {
+                Tag::Ping => Request::Ping,
+                Tag::Submit => Request::Submit(decode_submit(d)?),
+                Tag::Status => Request::Status { job: d.u64().field("job id")? },
+                Tag::Fetch => Request::Fetch { job: d.u64().field("job id")? },
+                Tag::Cancel => Request::Cancel { job: d.u64().field("job id")? },
+                Tag::Stats => Request::Stats,
+                Tag::Shutdown => Request::Shutdown,
+                _ => return Err(WireError::UnknownType { found: tag as u16 }),
+            })
+        })
     }
 }
 
 impl Response {
     /// Encodes the response as one complete frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        let tag = match self {
-            Response::Pong => Tag::Pong,
-            Response::Submitted { job, cache_hit } => {
-                p.extend_from_slice(&job.to_le_bytes());
-                p.push(u8::from(*cache_hit));
-                Tag::Submitted
-            }
-            Response::Rejected { retry_after_ms, queue_len } => {
-                p.extend_from_slice(&retry_after_ms.to_le_bytes());
-                p.extend_from_slice(&queue_len.to_le_bytes());
-                Tag::Rejected
-            }
-            Response::Status(s) => {
-                p.extend_from_slice(&s.job.to_le_bytes());
-                p.push(s.phase as u8);
-                p.extend_from_slice(&s.attempts.to_le_bytes());
-                put_str(&mut p, s.quality.as_deref().unwrap_or(""));
-                p.push(u8::from(s.cache_hit));
-                Tag::StatusRep
-            }
-            Response::Result(r) => {
-                encode_result_payload(r, &mut p);
-                Tag::Result
-            }
-            Response::Error { code, detail } => {
-                put_str(&mut p, code);
-                put_str(&mut p, detail);
-                Tag::Error
-            }
-            Response::Stats(s) => {
-                p.extend_from_slice(&s.queued.to_le_bytes());
-                p.extend_from_slice(&s.running.to_le_bytes());
-                p.extend_from_slice(&s.completed.to_le_bytes());
-                p.extend_from_slice(&s.rejected.to_le_bytes());
-                p.extend_from_slice(&s.cache_hits.to_le_bytes());
-                p.extend_from_slice(&s.workers.to_le_bytes());
-                p.extend_from_slice(&s.queue_cap.to_le_bytes());
-                Tag::StatsRep
-            }
-            Response::ShuttingDown => Tag::ShuttingDown,
-        };
-        encode_frame(tag, &p)
+        match self {
+            Response::Pong => frame(Tag::Pong, |_| {}),
+            Response::Submitted { job, cache_hit } => frame(Tag::Submitted, |e| {
+                e.put_u64(*job);
+                e.put_bool(*cache_hit);
+            }),
+            Response::Rejected { retry_after_ms, queue_len } => frame(Tag::Rejected, |e| {
+                e.put_u64(*retry_after_ms);
+                e.put_u32(*queue_len);
+            }),
+            Response::Status(s) => frame(Tag::StatusRep, |e| {
+                e.put_u64(s.job);
+                e.put_u8(s.phase as u8);
+                e.put_u32(s.attempts);
+                e.put_option(s.quality.as_ref(), |e, q| e.put_str(q));
+                e.put_bool(s.cache_hit);
+            }),
+            Response::Result(r) => frame(Tag::Result, |e| encode_result(e, r)),
+            Response::Error { code, detail } => frame(Tag::Error, |e| {
+                e.put_str(code);
+                e.put_str(detail);
+            }),
+            Response::Stats(s) => frame(Tag::StatsRep, |e| {
+                e.put_u32(s.queued);
+                e.put_u32(s.running);
+                e.put_u64(s.completed);
+                e.put_u64(s.rejected);
+                e.put_u64(s.cache_hits);
+                e.put_u32(s.workers);
+                e.put_u32(s.queue_cap);
+            }),
+            Response::ShuttingDown => frame(Tag::ShuttingDown, |_| {}),
+        }
     }
 
     /// Decodes a complete response frame.
     pub fn decode(bytes: &[u8]) -> Result<Response, WireError> {
-        let (tag, payload) = decode_frame(bytes)?;
-        let mut c = Cursor::new(payload);
-        let resp = match tag {
-            Tag::Pong => Response::Pong,
-            Tag::Submitted => Response::Submitted {
-                job: c.u64("job id")?,
-                cache_hit: c.u8("cache_hit flag")? != 0,
-            },
-            Tag::Rejected => Response::Rejected {
-                retry_after_ms: c.u64("retry_after_ms")?,
-                queue_len: c.u32("queue_len")?,
-            },
-            Tag::StatusRep => {
-                let job = c.u64("job id")?;
-                let phase_raw = c.u8("job phase byte")?;
-                let phase = JobPhase::from_u8(phase_raw).ok_or(WireError::Payload {
-                    offset: 8,
-                    reason: "job phase 0..=3",
-                })?;
-                let attempts = c.u32("attempts")?;
-                let quality = c.str("quality string")?;
-                let cache_hit = c.u8("cache_hit flag")? != 0;
-                Response::Status(JobStatus {
-                    job,
-                    phase,
-                    attempts,
-                    quality: if quality.is_empty() { None } else { Some(quality) },
-                    cache_hit,
-                })
-            }
-            Tag::Result => Response::Result(decode_result_payload(&mut c)?),
-            Tag::Error => Response::Error {
-                code: c.str("error code string")?,
-                detail: c.str("error detail string")?,
-            },
-            Tag::StatsRep => Response::Stats(DaemonStats {
-                queued: c.u32("queued")?,
-                running: c.u32("running")?,
-                completed: c.u64("completed")?,
-                rejected: c.u64("rejected")?,
-                cache_hits: c.u64("cache_hits")?,
-                workers: c.u32("workers")?,
-                queue_cap: c.u32("queue_cap")?,
-            }),
-            Tag::ShuttingDown => Response::ShuttingDown,
-            _ => return Err(WireError::UnknownType { found: tag as u16 }),
-        };
-        c.finish()?;
-        Ok(resp)
+        let (tag, payload) = open_frame(bytes)?;
+        decode_body(payload, |d| {
+            Ok(match tag {
+                Tag::Pong => Response::Pong,
+                Tag::Submitted => Response::Submitted {
+                    job: d.u64().field("job id")?,
+                    cache_hit: d.bool().field("cache_hit flag")?,
+                },
+                Tag::Rejected => Response::Rejected {
+                    retry_after_ms: d.u64().field("retry_after_ms")?,
+                    queue_len: d.u32().field("queue_len")?,
+                },
+                Tag::StatusRep => Response::Status(JobStatus {
+                    job: d.u64().field("job id")?,
+                    phase: decode_phase(d)?,
+                    attempts: d.u32().field("attempts")?,
+                    quality: d.option(Decoder::str).field("quality string")?,
+                    cache_hit: d.bool().field("cache_hit flag")?,
+                }),
+                Tag::Result => Response::Result(decode_result(d)?),
+                Tag::Error => Response::Error {
+                    code: d.str().field("error code string")?,
+                    detail: d.str().field("error detail string")?,
+                },
+                Tag::StatsRep => Response::Stats(DaemonStats {
+                    queued: d.u32().field("queued")?,
+                    running: d.u32().field("running")?,
+                    completed: d.u64().field("completed")?,
+                    rejected: d.u64().field("rejected")?,
+                    cache_hits: d.u64().field("cache_hits")?,
+                    workers: d.u32().field("workers")?,
+                    queue_cap: d.u32().field("queue_cap")?,
+                }),
+                Tag::ShuttingDown => Response::ShuttingDown,
+                _ => return Err(WireError::UnknownType { found: tag as u16 }),
+            })
+        })
     }
 }
 
-/// Serializes a [`JobResult`] body (shared by the wire frame and the
-/// on-disk result record, which must stay bit-compatible).
-pub(crate) fn encode_result_payload(r: &JobResult, p: &mut Vec<u8>) {
-    p.extend_from_slice(&r.job.to_le_bytes());
-    put_str(p, &r.quality);
-    p.push(u8::from(r.degraded));
-    p.extend_from_slice(&r.attempts.to_le_bytes());
-    p.push(u8::from(r.cache_hit));
-    p.extend_from_slice(&r.objective_bits.to_le_bytes());
-    p.extend_from_slice(&r.iterations.to_le_bytes());
-    p.extend_from_slice(&r.rounds.to_le_bytes());
-    p.extend_from_slice(&(r.positions_bits.len() as u32).to_le_bytes());
+/// Writes a [`SubmitRequest`] body (shared by the Submit frame and the
+/// on-disk job meta record).
+pub(crate) fn encode_submit(e: &mut Encoder, s: &SubmitRequest) {
+    e.put_u8(s.source.code());
+    e.put_str(s.source.content());
+    e.put_u64(s.deadline_ms);
+    e.put_u32(s.max_iter);
+    e.put_u32(s.max_rounds);
+}
+
+pub(crate) fn decode_submit(d: &mut Decoder<'_>) -> Result<SubmitRequest, WireError> {
+    let at = d.position();
+    let kind = d.u8().field("source kind byte")?;
+    let content = d.str().field("source content string")?;
+    let source = match kind {
+        0 => JobSource::Suite(content),
+        1 => JobSource::Yal(content),
+        _ => {
+            return Err(WireError::Payload {
+                offset: at,
+                reason: "source kind 0 (suite) or 1 (yal)",
+            })
+        }
+    };
+    Ok(SubmitRequest {
+        source,
+        deadline_ms: d.u64().field("deadline_ms")?,
+        max_iter: d.u32().field("max_iter")?,
+        max_rounds: d.u32().field("max_rounds")?,
+    })
+}
+
+pub(crate) fn decode_phase(d: &mut Decoder<'_>) -> Result<JobPhase, WireError> {
+    let at = d.position();
+    let raw = d.u8().field("job phase byte")?;
+    JobPhase::from_u8(raw).ok_or(WireError::Payload { offset: at, reason: "job phase 0..=3" })
+}
+
+/// Writes a [`JobResult`] body (shared by the Result frame and the
+/// on-disk result record).
+pub(crate) fn encode_result(e: &mut Encoder, r: &JobResult) {
+    e.put_u64(r.job);
+    e.put_str(&r.quality);
+    e.put_bool(r.degraded);
+    e.put_u32(r.attempts);
+    e.put_bool(r.cache_hit);
+    e.put_u64(r.objective_bits);
+    e.put_u64(r.iterations);
+    e.put_u64(r.rounds);
+    e.put_usize(r.positions_bits.len());
     for &(x, y) in &r.positions_bits {
-        p.extend_from_slice(&x.to_le_bytes());
-        p.extend_from_slice(&y.to_le_bytes());
+        e.put_u64(x);
+        e.put_u64(y);
     }
 }
 
-fn decode_result_payload(c: &mut Cursor<'_>) -> Result<JobResult, WireError> {
-    let job = c.u64("job id")?;
-    let quality = c.str("quality string")?;
-    let degraded = c.u8("degraded flag")? != 0;
-    let attempts = c.u32("attempts")?;
-    let cache_hit = c.u8("cache_hit flag")? != 0;
-    let objective_bits = c.u64("objective bits")?;
-    let iterations = c.u64("iterations")?;
-    let rounds = c.u64("rounds")?;
-    let n = c.u32("position count")? as usize;
-    // 16 bytes per position must fit in the remaining payload before
-    // any allocation.
-    if c.buf.len() - c.pos < n * 16 {
-        return Err(c.err("position bit pairs"));
-    }
-    let mut positions_bits = Vec::with_capacity(n);
+pub(crate) fn decode_result(d: &mut Decoder<'_>) -> Result<JobResult, WireError> {
+    let job = d.u64().field("job id")?;
+    let quality = d.str().field("quality string")?;
+    let degraded = d.bool().field("degraded flag")?;
+    let attempts = d.u32().field("attempts")?;
+    let cache_hit = d.bool().field("cache_hit flag")?;
+    let objective_bits = d.u64().field("objective bits")?;
+    let iterations = d.u64().field("iterations")?;
+    let rounds = d.u64().field("rounds")?;
+    let n = d.usize().field("position count")?;
+    // Reserve only what the remaining payload can hold (16 bytes per
+    // position), so a hostile count cannot force a huge allocation.
+    let mut positions_bits = Vec::with_capacity(n.min(d.remaining() / 16));
     for _ in 0..n {
-        positions_bits.push((c.u64("position x bits")?, c.u64("position y bits")?));
+        positions_bits
+            .push((d.u64().field("position x bits")?, d.u64().field("position y bits")?));
     }
     Ok(JobResult {
         job,
@@ -770,15 +674,6 @@ fn decode_result_payload(c: &mut Cursor<'_>) -> Result<JobResult, WireError> {
         rounds,
         positions_bits,
     })
-}
-
-/// Standalone decode of an on-disk result record body (same layout as
-/// the wire payload).
-pub(crate) fn decode_result_bytes(bytes: &[u8]) -> Result<JobResult, WireError> {
-    let mut c = Cursor::new(bytes);
-    let r = decode_result_payload(&mut c)?;
-    c.finish()?;
-    Ok(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -816,57 +711,35 @@ impl std::error::Error for FrameReadError {}
 /// read to completion. A clean EOF before any byte is
 /// [`FrameReadError::Eof`]; EOF mid-frame is a [`WireError::Truncated`].
 pub fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, FrameReadError> {
-    let mut header = [0u8; HEADER_LEN];
+    let mut bytes = vec![0u8; HEADER_LEN];
+    let filled = read_full(r, &mut bytes)?;
+    if filled == 0 {
+        return Err(FrameReadError::Eof);
+    }
+    let header = parse_header(&bytes[..filled]).map_err(FrameReadError::Wire)?;
+    bytes.resize(HEADER_LEN + header.len as usize, 0);
+    let got = read_full(r, &mut bytes[HEADER_LEN..])?;
+    if got as u64 != header.len {
+        return Err(FrameReadError::Wire(WireError::Truncated {
+            expected: header.len,
+            actual: got as u64,
+        }));
+    }
+    Ok(bytes)
+}
+
+/// Reads until `buf` is full or the stream ends; returns the byte count.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameReadError> {
     let mut filled = 0usize;
-    while filled < HEADER_LEN {
-        match r.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Err(FrameReadError::Eof)
-                } else {
-                    Err(FrameReadError::Wire(WireError::TooShort { have: filled }))
-                };
-            }
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    // Validate the envelope prefix before trusting the length field.
-    for (offset, (&got, &want)) in header.iter().zip(MAGIC.iter()).enumerate() {
-        if got != want {
-            return Err(FrameReadError::Wire(WireError::BadMagic { offset }));
-        }
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != VERSION {
-        return Err(FrameReadError::Wire(WireError::BadVersion { found: version }));
-    }
-    let len = u64::from_le_bytes([
-        header[8], header[9], header[10], header[11], header[12], header[13], header[14],
-        header[15],
-    ]);
-    if len > MAX_PAYLOAD {
-        return Err(FrameReadError::Wire(WireError::Oversize { len }));
-    }
-    let mut bytes = Vec::with_capacity(HEADER_LEN + len as usize);
-    bytes.extend_from_slice(&header);
-    bytes.resize(HEADER_LEN + len as usize, 0);
-    let mut got = 0usize;
-    while got < len as usize {
-        match r.read(&mut bytes[HEADER_LEN + got..]) {
-            Ok(0) => {
-                return Err(FrameReadError::Wire(WireError::Truncated {
-                    expected: len,
-                    actual: got as u64,
-                }));
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameReadError::Io(e)),
-        }
-    }
-    Ok(bytes)
+    Ok(filled)
 }
 
 /// Writes one already-encoded frame to `w` and flushes.
@@ -976,7 +849,9 @@ mod tests {
         assert!(matches!(Request::decode(&bad), Err(WireError::UnknownType { found: 0x77 })));
 
         let mut bad = good.clone();
-        bad[8..16].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        let mut len = Encoder::new();
+        len.put_u64(MAX_PAYLOAD + 1);
+        bad[8..16].copy_from_slice(&len.into_bytes());
         assert!(matches!(Request::decode(&bad), Err(WireError::Oversize { .. })));
 
         assert!(matches!(
@@ -990,16 +865,17 @@ mod tests {
         assert!(matches!(Request::decode(&bad), Err(WireError::CrcMismatch { .. })));
 
         // Payload too short for the declared field: typed, with offset.
-        let torn_payload = encode_frame(Tag::Status, &3u32.to_le_bytes());
+        let torn_payload = frame(Tag::Status, |e| e.put_u32(3));
         match Request::decode(&torn_payload) {
             Err(WireError::Payload { offset: 0, reason }) => assert_eq!(reason, "job id"),
             other => panic!("expected payload error, got {other:?}"),
         }
 
         // Trailing garbage after a valid body is rejected.
-        let mut p = 3u64.to_le_bytes().to_vec();
-        p.push(0xEE);
-        let trailing = encode_frame(Tag::Status, &p);
+        let trailing = frame(Tag::Status, |e| {
+            e.put_u64(3);
+            e.put_u8(0xEE);
+        });
         assert_eq!(
             Request::decode(&trailing),
             Err(WireError::Payload { offset: 8, reason: "end of payload (trailing bytes)" })

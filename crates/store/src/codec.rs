@@ -119,6 +119,11 @@ impl Encoder {
         self.buf.extend_from_slice(vs);
     }
 
+    /// Appends a length-prefixed UTF-8 string.
+    pub fn put_str(&mut self, s: &str) {
+        self.put_bytes(s.as_bytes());
+    }
+
     /// Appends an option tag (1 byte) followed by the value via `f`.
     pub fn put_option<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut Self, &T)) {
         match v {
@@ -259,6 +264,13 @@ impl<'a> Decoder<'a> {
         Ok(self.take(len, "byte slice")?.to_vec())
     }
 
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, DecodeError> {
+        let offset = self.pos;
+        String::from_utf8(self.bytes()?)
+            .map_err(|_| DecodeError { offset, expected: "UTF-8 string" })
+    }
+
     /// Reads an option tag and, when set, the value via `f`.
     pub fn option<T>(
         &mut self,
@@ -291,6 +303,7 @@ mod tests {
         e.put_f64s(&[1.5, f64::INFINITY, f64::MIN_POSITIVE]);
         e.put_usizes(&[0, 3, usize::MAX]);
         e.put_bytes(b"abc");
+        e.put_str("añb");
         e.put_option(Some(&9.25f64), |e, v| e.put_f64(*v));
         e.put_option::<f64>(None, |e, v| e.put_f64(*v));
         let bytes = e.into_bytes();
@@ -311,6 +324,7 @@ mod tests {
         assert_eq!(v[2], f64::MIN_POSITIVE);
         assert_eq!(d.usizes().unwrap(), vec![0, 3, usize::MAX]);
         assert_eq!(d.bytes().unwrap(), b"abc");
+        assert_eq!(d.str().unwrap(), "añb");
         assert_eq!(d.option(|d| d.f64()).unwrap(), Some(9.25));
         assert_eq!(d.option(|d| d.f64()).unwrap(), None);
         d.finish().unwrap();
@@ -354,5 +368,8 @@ mod tests {
         let bytes = [2u8];
         assert!(Decoder::new(&bytes).bool().is_err());
         assert!(Decoder::new(&bytes).option(|d| d.u8()).is_err());
+        let mut e = Encoder::new();
+        e.put_bytes(&[0xFF, 0xFE]);
+        assert!(Decoder::new(&e.into_bytes()).str().is_err());
     }
 }

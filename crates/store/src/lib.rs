@@ -13,12 +13,17 @@
 //! * [`codec`] — little-endian [`Encoder`]/[`Decoder`] primitives with
 //!   positioned, non-panicking decode errors and bitwise-lossless
 //!   `f64` round-trips (`to_bits`), the foundation of the
-//!   resume-determinism contract.
-//! * [`crc32`](mod@crc32) — CRC-32 (IEEE) payload checksums.
-//! * [`snapshot`] — the versioned record envelope
-//!   (magic + format version + length + CRC) and [`SnapshotStore`]:
-//!   atomic temp-fsync-rename writes, a generation ring of the newest
-//!   K snapshots, and corruption-detecting loads that fall back to the
+//!   resume-determinism contract. Every payload in the workspace —
+//!   solver checkpoints, `gfp-service` job records and wire messages —
+//!   is written and read with them.
+//! * [`crc32`](mod@crc32) — CRC-32 (IEEE) payload checksums, the only
+//!   implementation in the workspace.
+//! * [`snapshot`] — the 20-byte record envelope (magic + format
+//!   version + kind + length + CRC) shared by stored records (`GFPS`)
+//!   and `gfp-service` wire frames (`GFPW`), the one atomic durable
+//!   write ([`write_atomic`]: temp → fsync → rename → directory
+//!   fsync), and [`SnapshotStore`]: a generation ring of the newest K
+//!   snapshots with corruption-detecting loads that fall back to the
 //!   newest good generation.
 //!
 //! Writes poll the `checkpoint.write` fault-injection site (inert
@@ -33,6 +38,6 @@ mod snapshot;
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use crc32::crc32;
 pub use snapshot::{
-    decode_record, encode_record, RecordError, Snapshot, SnapshotStore, StoreError, HEADER_LEN,
-    MAGIC,
+    decode_record, encode_envelope, encode_record, write_atomic, Header, RecordError, Snapshot,
+    SnapshotStore, StoreError, HEADER_LEN, MAGIC,
 };

@@ -1,12 +1,13 @@
-//! Record envelope + durable generation-ring snapshot store.
+//! The shared record envelope, the one atomic durable write, and the
+//! generation-ring snapshot store built on both.
 //!
 //! # Record layout (all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic  b"GFPS"
+//! 0       4     magic  (b"GFPS" for stored records, b"GFPW" for wire frames)
 //! 4       2     format version (owned by the payload producer)
-//! 6       2     flags (reserved, must be 0)
+//! 6       2     kind (0 for stored records; the message tag on the wire)
 //! 8       8     payload length in bytes
 //! 16      4     CRC-32 (IEEE) of the payload
 //! 20      n     payload
@@ -14,11 +15,9 @@
 //!
 //! # Durability protocol
 //!
-//! Each snapshot is one file `snap-<generation>.gfps` written as:
-//! temp file → `sync_all` → atomic rename → fsync of the directory.
-//! A crash at any point leaves either the previous generation intact
-//! or a stray `.tmp` file that is ignored (and cleaned on open). The
-//! store keeps a ring of the newest `keep` generations; loads walk
+//! Each snapshot is one file `snap-<generation>.gfps` written by
+//! [`write_atomic`]. The store keeps a ring of the newest `keep`
+//! generations (stray temp files are cleaned on open); loads walk
 //! generations newest-first and skip any file whose envelope or CRC
 //! fails, so a torn or silently corrupted newest snapshot falls back
 //! to the next good one.
@@ -33,8 +32,8 @@
 //! computed (silent corruption, caught by the CRC at load time).
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use gfp_fault::{FaultKind, Site};
@@ -42,7 +41,7 @@ use gfp_telemetry as telemetry;
 
 use crate::crc32::crc32;
 
-/// First four bytes of every snapshot record.
+/// First four bytes of every stored record.
 pub const MAGIC: [u8; 4] = *b"GFPS";
 
 /// Fixed envelope size preceding the payload.
@@ -62,14 +61,18 @@ pub enum RecordError {
         /// Actual byte count.
         len: usize,
     },
-    /// First four bytes are not [`MAGIC`].
-    BadMagic,
-    /// Reserved flags field is non-zero (format from the future).
-    BadFlags {
-        /// The flags value found.
-        flags: u16,
+    /// The first four bytes are not the expected magic.
+    BadMagic {
+        /// Offset of the first mismatching byte (0..4).
+        offset: usize,
     },
-    /// Header length field disagrees with the file size (torn write).
+    /// A stored record's kind field is non-zero (format from the
+    /// future).
+    BadKind {
+        /// The kind value found.
+        kind: u16,
+    },
+    /// Header length field disagrees with the bytes present (torn write).
     LengthMismatch {
         /// Payload length claimed by the header.
         expected: u64,
@@ -91,8 +94,8 @@ impl fmt::Display for RecordError {
             RecordError::TooShort { len } => {
                 write!(f, "record too short: {len} bytes < {HEADER_LEN}-byte header")
             }
-            RecordError::BadMagic => write!(f, "bad magic (not a GFPS record)"),
-            RecordError::BadFlags { flags } => write!(f, "unsupported flags {flags:#06x}"),
+            RecordError::BadMagic { offset } => write!(f, "bad magic at byte {offset}"),
+            RecordError::BadKind { kind } => write!(f, "unsupported record kind {kind:#06x}"),
             RecordError::LengthMismatch { expected, actual } => {
                 write!(f, "torn record: header claims {expected} payload bytes, found {actual}")
             }
@@ -105,46 +108,111 @@ impl fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// Wraps `payload` in the versioned, CRC-protected envelope.
-pub fn encode_record(version: u16, payload: &[u8]) -> Vec<u8> {
+/// The fixed 20-byte header in front of every payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Format version.
+    pub version: u16,
+    /// Record kind (0 for stored records, the message tag on the wire).
+    pub kind: u16,
+    /// Payload length in bytes.
+    pub len: u64,
+    /// CRC-32 of the payload.
+    pub crc: u32,
+}
+
+impl Header {
+    /// Parses the header at the start of `bytes`, checking only the
+    /// magic. Version, kind and length are the caller's to vet — a
+    /// stream reader checks the length against its cap here, before
+    /// it allocates the payload.
+    pub fn parse(magic: [u8; 4], bytes: &[u8]) -> Result<Header, RecordError> {
+        if bytes.len() < HEADER_LEN {
+            return Err(RecordError::TooShort { len: bytes.len() });
+        }
+        if let Some(offset) = (0..4).find(|&i| bytes[i] != magic[i]) {
+            return Err(RecordError::BadMagic { offset });
+        }
+        let b = |i: usize| bytes[i];
+        Ok(Header {
+            version: u16::from_le_bytes([b(4), b(5)]),
+            kind: u16::from_le_bytes([b(6), b(7)]),
+            len: u64::from_le_bytes([b(8), b(9), b(10), b(11), b(12), b(13), b(14), b(15)]),
+            crc: u32::from_le_bytes([b(16), b(17), b(18), b(19)]),
+        })
+    }
+
+    /// Checks that `payload` is exactly the bytes this header
+    /// describes: first its length, then its CRC.
+    pub fn check_payload(&self, payload: &[u8]) -> Result<(), RecordError> {
+        if self.len != payload.len() as u64 {
+            return Err(RecordError::LengthMismatch {
+                expected: self.len,
+                actual: payload.len() as u64,
+            });
+        }
+        let actual = crc32(payload);
+        if self.crc != actual {
+            return Err(RecordError::CrcMismatch { expected: self.crc, actual });
+        }
+        Ok(())
+    }
+}
+
+/// Wraps `payload` in the envelope with the given magic, format
+/// version and kind.
+pub fn encode_envelope(magic: [u8; 4], version: u16, kind: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&magic);
     out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags
+    out.extend_from_slice(&kind.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
 
-/// Validates the envelope and returns `(format_version, payload)`.
+/// Wraps `payload` in a stored record (`GFPS`, kind 0).
+pub fn encode_record(version: u16, payload: &[u8]) -> Vec<u8> {
+    encode_envelope(MAGIC, version, 0, payload)
+}
+
+/// Validates a stored record and returns `(format_version, payload)`.
 /// Interpreting the version is the caller's job; the store only
 /// guarantees the payload bytes are exactly what was written.
 pub fn decode_record(bytes: &[u8]) -> Result<(u16, &[u8]), RecordError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(RecordError::TooShort { len: bytes.len() });
+    let header = Header::parse(MAGIC, bytes)?;
+    if header.kind != 0 {
+        return Err(RecordError::BadKind { kind: header.kind });
     }
-    if bytes[0..4] != MAGIC {
-        return Err(RecordError::BadMagic);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if flags != 0 {
-        return Err(RecordError::BadFlags { flags });
-    }
-    let len = u64::from_le_bytes([
-        bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-    ]);
     let payload = &bytes[HEADER_LEN..];
-    if len != payload.len() as u64 {
-        return Err(RecordError::LengthMismatch { expected: len, actual: payload.len() as u64 });
+    header.check_payload(payload)?;
+    Ok((header.version, payload))
+}
+
+/// Durably replaces the file at `path` with `bytes`: write
+/// `<path>.tmp` → `sync_all` → rename over `path` → fsync the parent
+/// directory. After a crash at any instant `path` holds either the old
+/// complete file or the new one; at worst a stray `.tmp` is left.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(TMP_SUFFIX);
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
     }
-    let expected = u32::from_le_bytes([bytes[16], bytes[17], bytes[18], bytes[19]]);
-    let actual = crc32(payload);
-    if expected != actual {
-        return Err(RecordError::CrcMismatch { expected, actual });
+    fs::rename(&tmp, path)?;
+    // Persist the rename itself. Directory fsync can fail on
+    // filesystems that reject opening directories for sync; the data
+    // file is already synced, so treat that as best-effort.
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
     }
-    Ok((version, payload))
+    Ok(())
 }
 
 /// A snapshot successfully loaded from disk.
@@ -226,20 +294,13 @@ impl SnapshotStore {
         fs::create_dir_all(&dir)
             .map_err(|e| io_err(format!("create snapshot dir {}", dir.display()), e))?;
         let mut max_gen = None::<u64>;
-        for entry in
-            fs::read_dir(&dir).map_err(|e| io_err(format!("scan {}", dir.display()), e))?
-        {
-            let entry = entry.map_err(|e| io_err(format!("scan {}", dir.display()), e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
+        for name in file_names(&dir)? {
             if name.ends_with(TMP_SUFFIX) {
                 // A writer died between create and rename; the temp
                 // file was never a committed generation.
-                let _ = fs::remove_file(entry.path());
-                continue;
-            }
-            if let Some(gen) = parse_generation(name) {
-                max_gen = Some(max_gen.map_or(gen, |m: u64| m.max(gen)));
+                let _ = fs::remove_file(dir.join(&name));
+            } else if let Some(gen) = parse_generation(&name) {
+                max_gen = max_gen.max(Some(gen));
             }
         }
         Ok(SnapshotStore { dir, keep: keep.max(1), next_gen: max_gen.map_or(0, |m| m + 1) })
@@ -252,17 +313,8 @@ impl SnapshotStore {
 
     /// Committed generation numbers currently on disk, ascending.
     pub fn generations(&self) -> Result<Vec<u64>, StoreError> {
-        let mut gens = Vec::new();
-        for entry in
-            fs::read_dir(&self.dir).map_err(|e| io_err(format!("scan {}", self.dir.display()), e))?
-        {
-            let entry = entry.map_err(|e| io_err(format!("scan {}", self.dir.display()), e))?;
-            if let Some(name) = entry.file_name().to_str() {
-                if let Some(gen) = parse_generation(name) {
-                    gens.push(gen);
-                }
-            }
-        }
+        let mut gens: Vec<u64> =
+            file_names(&self.dir)?.iter().filter_map(|name| parse_generation(name)).collect();
         gens.sort_unstable();
         Ok(gens)
     }
@@ -274,8 +326,8 @@ impl SnapshotStore {
 
     /// Durably writes one snapshot, returning its generation number.
     ///
-    /// Protocol: envelope → temp file → `sync_all` → rename →
-    /// directory fsync → prune generations beyond the ring. A failure
+    /// Protocol: envelope → [`write_atomic`] → prune generations
+    /// beyond the ring. A failure
     /// anywhere surfaces as `Err` (counted under `store.write_error`)
     /// and leaves previously committed generations untouched.
     pub fn write(&mut self, version: u16, payload: &[u8]) -> Result<u64, StoreError> {
@@ -311,28 +363,9 @@ impl SnapshotStore {
         }
 
         let gen = self.next_gen;
-        let final_path = self.path_for(gen);
-        let tmp_path = self.dir.join(format!("{SNAP_PREFIX}{gen:010}{SNAP_SUFFIX}{TMP_SUFFIX}"));
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)
-                .map_err(|e| io_err(format!("create {}", tmp_path.display()), e))?;
-            f.write_all(&record)
-                .map_err(|e| io_err(format!("write {}", tmp_path.display()), e))?;
-            f.sync_all().map_err(|e| io_err(format!("fsync {}", tmp_path.display()), e))?;
-        }
-        fs::rename(&tmp_path, &final_path).map_err(|e| {
-            io_err(format!("rename {} -> {}", tmp_path.display(), final_path.display()), e)
-        })?;
-        // Persist the rename itself. Directory fsync can fail on
-        // filesystems that reject opening directories for sync; the
-        // data file is already synced, so treat that as best-effort.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        let path = self.path_for(gen);
+        write_atomic(&path, &record)
+            .map_err(|e| io_err(format!("write snapshot {}", path.display()), e))?;
         self.next_gen = gen + 1;
         self.prune();
 
@@ -406,21 +439,20 @@ impl SnapshotStore {
     /// Foreign files are left alone and keep the directory alive.
     pub fn purge_dir(dir: impl AsRef<Path>) -> Result<usize, StoreError> {
         let dir = dir.as_ref();
-        let entries = match fs::read_dir(dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(io_err(format!("scan {}", dir.display()), e)),
+        let names = match file_names(dir) {
+            Err(StoreError::Io { source, .. }) if source.kind() == io::ErrorKind::NotFound => {
+                return Ok(0)
+            }
+            names => names?,
         };
         let mut removed = 0usize;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(format!("scan {}", dir.display()), e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if parse_generation(name).is_some()
+        for name in names {
+            if parse_generation(&name).is_some()
                 || (name.starts_with(SNAP_PREFIX) && name.ends_with(TMP_SUFFIX))
             {
-                fs::remove_file(entry.path())
-                    .map_err(|e| io_err(format!("remove {}", entry.path().display()), e))?;
+                let path = dir.join(&name);
+                fs::remove_file(&path)
+                    .map_err(|e| io_err(format!("remove {}", path.display()), e))?;
                 removed += 1;
             }
         }
@@ -433,11 +465,22 @@ impl SnapshotStore {
     /// Reads and validates one specific generation.
     fn load_generation(&self, generation: u64) -> Result<Snapshot, Box<dyn std::error::Error>> {
         let path = self.path_for(generation);
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
+        let bytes = fs::read(&path)?;
         let (version, payload) = decode_record(&bytes)?;
         Ok(Snapshot { generation, version, payload: payload.to_vec() })
     }
+}
+
+/// Names of the entries in `dir` (names that are not UTF-8 are skipped).
+fn file_names(dir: &Path) -> Result<Vec<String>, StoreError> {
+    let scan = |e: io::Error| io_err(format!("scan {}", dir.display()), e);
+    let mut names = Vec::new();
+    for entry in fs::read_dir(dir).map_err(scan)? {
+        if let Ok(name) = entry.map_err(scan)?.file_name().into_string() {
+            names.push(name);
+        }
+    }
+    Ok(names)
 }
 
 fn parse_generation(name: &str) -> Option<u64> {
@@ -472,11 +515,11 @@ mod tests {
         // Bad magic.
         let mut bad = record.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(decode_record(&bad), Err(RecordError::BadMagic));
-        // Non-zero flags.
+        assert_eq!(decode_record(&bad), Err(RecordError::BadMagic { offset: 0 }));
+        // Non-zero kind.
         let mut bad = record.clone();
         bad[6] = 1;
-        assert!(matches!(decode_record(&bad), Err(RecordError::BadFlags { flags: 1 })));
+        assert!(matches!(decode_record(&bad), Err(RecordError::BadKind { kind: 1 })));
         // Torn payload.
         assert!(matches!(
             decode_record(&record[..record.len() - 1]),

@@ -166,16 +166,12 @@ fi
 "$GFPD" shutdown --addr "$ADDR"
 wait "$GFPD_PID" 2>/dev/null || true
 
-echo "== service bench (smoke) =="
-"$GFPD" bench --smoke --out target/BENCH_service.smoke.json
-if ! grep -q '"schema": "gfp-service-bench-v1"' target/BENCH_service.smoke.json; then
-    echo "FAIL: target/BENCH_service.smoke.json is not a gfp-service-bench-v1" >&2
-    exit 1
-fi
-if ! grep -q '"cache_hits": [1-9]' target/BENCH_service.smoke.json; then
-    echo "FAIL: bench mix never hit the result cache" >&2
-    exit 1
-fi
+echo "== benchmark smoke (floorbench) =="
+# The repository's benchmark (BENCHMARK.json) is a standalone package
+# that imports the crates' public entry points; its smoke tests run
+# every workload on a tiny batch, so a change to those names fails
+# here rather than in a benchmark run.
+cargo test --release --offline --manifest-path floorbench/Cargo.toml
 
 echo "== kernel bench (smoke) =="
 # Quick serial-vs-parallel run of the hot kernels; asserts bitwise

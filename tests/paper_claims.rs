@@ -6,6 +6,7 @@
 use gfp::baselines::qp::QuadraticPlacer;
 use gfp::core::subproblems::{solve_subproblem2, solve_subproblem2_via_sdp};
 use gfp::core::lifted::Lift;
+use gfp::core::neighbors::all_pairs;
 use gfp::core::{FloorplannerSettings, GlobalFloorplanProblem, ProblemOptions, SdpFloorplanner};
 use gfp::netlist::{suite, Module, Net, Netlist, PinRef};
 
@@ -112,8 +113,8 @@ fn claim_nonsquare_relaxes_connected_pairs() {
         },
     )
     .expect("nonsq");
-    let b_square = square.distance_bounds(&square.a);
-    let b_nonsq = nonsq.distance_bounds(&nonsq.a);
+    let b_square = square.distance_bounds(&square.a, &all_pairs(square.n));
+    let b_nonsq = nonsq.distance_bounds(&nonsq.a, &all_pairs(nonsq.n));
     // Strongly connected pairs must receive *smaller* minimum
     // distances relative to their (inflated) radii.
     let mut idx = 0;
